@@ -1,0 +1,93 @@
+// Per-node congestion telemetry: the starvation monitor (Algorithm 2) and
+// the IPF (instructions-per-flit) tracker.
+//
+// Starvation (§3.1): sigma = (1/W) * sum over the last W cycles of
+// starved(i), where starved means "tried to inject a flit but could not"
+// (whether blocked by the network or by the throttling gate — Algorithm 3
+// sets the starved bit on throttle blocks too). Hardware cost per node: a
+// W-bit shift register and an up-down counter (§6.5).
+//
+// IPF (§4): instructions retired in an epoch divided by flits of traffic
+// associated with the application in that epoch (requests it injected plus
+// responses generated on its behalf). IPF depends only on the program's L1
+// miss behaviour — not on how much service the network is giving it — which
+// is what makes it a stable throttling criterion.
+#pragma once
+
+#include <cstdint>
+
+#include "common/stats.hpp"
+
+namespace nocsim {
+
+class StarvationMonitor {
+ public:
+  explicit StarvationMonitor(int window = 128) : window_(window) {}
+
+  void record(bool starved) {
+    window_.record(starved);
+    if (starved) ++starved_cycles_;
+    ++observed_cycles_;
+  }
+
+  /// Batch form of record(false) x k: k cycles in which the node did not
+  /// even try to inject. Bit-exact with the per-cycle loop; lets the
+  /// simulator skip idle NIs and replay the gap on wake-up.
+  void record_idle(std::uint64_t k) {
+    window_.record_zeros(k);
+    observed_cycles_ += k;
+  }
+
+  /// sigma over the last W cycles (the control signal).
+  [[nodiscard]] double windowed_rate() const { return window_.rate(); }
+
+  /// Long-run starvation fraction since the last reset (the reported
+  /// metric: starved cycles / all cycles).
+  [[nodiscard]] double lifetime_rate() const {
+    return observed_cycles_
+               ? static_cast<double>(starved_cycles_) / static_cast<double>(observed_cycles_)
+               : 0.0;
+  }
+
+  void reset_lifetime() {
+    starved_cycles_ = 0;
+    observed_cycles_ = 0;
+  }
+
+ private:
+  SlidingWindowRate window_;
+  std::uint64_t starved_cycles_ = 0;
+  std::uint64_t observed_cycles_ = 0;
+};
+
+class IpfTracker {
+ public:
+  /// IPF assigned to an application that produced no traffic in an epoch
+  /// (effectively CPU-bound for that period).
+  static constexpr double kMaxIpf = 1e9;
+
+  void add_instructions(std::uint64_t n) { instructions_ += n; }
+  void add_flits(std::uint64_t n) { flits_ += n; }
+
+  [[nodiscard]] double ipf() const {
+    if (flits_ == 0) return kMaxIpf;
+    return static_cast<double>(instructions_) / static_cast<double>(flits_);
+  }
+
+  [[nodiscard]] std::uint64_t instructions() const { return instructions_; }
+  [[nodiscard]] std::uint64_t flits() const { return flits_; }
+
+  /// Epoch boundary: return the epoch's IPF and restart counting.
+  double harvest() {
+    const double value = ipf();
+    instructions_ = 0;
+    flits_ = 0;
+    return value;
+  }
+
+ private:
+  std::uint64_t instructions_ = 0;
+  std::uint64_t flits_ = 0;
+};
+
+}  // namespace nocsim

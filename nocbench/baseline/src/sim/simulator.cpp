@@ -1,0 +1,1080 @@
+#include "sim/simulator.hpp"
+
+#include <atomic>
+#include <bit>
+
+#include "cpu/file_trace.hpp"
+#include "noc/bless_fabric.hpp"
+#include "noc/buffered_fabric.hpp"
+#include "telemetry/event_log.hpp"
+#include "telemetry/profiler.hpp"
+#include "telemetry/telemetry.hpp"
+#include "workload/synth_trace.hpp"
+
+namespace nocsim {
+namespace {
+std::uint64_t splitmix_of(std::uint64_t seed, std::uint64_t stream) {
+  std::uint64_t s = seed ^ (0x7107 + stream * 0x9e3779b97f4a7c15ULL);
+  return splitmix64(s);
+}
+}  // namespace
+
+Simulator::Simulator(SimConfig config, WorkloadSpec workload)
+    : config_(std::move(config)), workload_(std::move(workload)) {
+  const int n = config_.num_nodes();
+  const int ncores = config_.num_cores();
+  NOCSIM_CHECK_MSG(static_cast<int>(workload_.app_names.size()) == ncores,
+                   "workload must name one app per core (\"\" for idle)");
+  NOCSIM_CHECK(config_.request_flits >= 1 && config_.response_flits >= 1);
+  NOCSIM_CHECK(config_.l2_latency >= 1);
+
+  topo_ = make_topology(TopologySpec{config_.topology, config_.width, config_.height,
+                                     config_.depth, config_.topology_file});
+  conc_ = topo_->concentration();
+  NOCSIM_CHECK(topo_->num_cores() == ncores);
+  switch (config_.router) {
+    case RouterKind::Bless:
+      fabric_ = std::make_unique<BlessFabric>(*topo_, config_.router_latency,
+                                              config_.link_latency,
+                                              config_.adaptive_routing
+                                                  ? BlessRouting::MinimalAdaptive
+                                                  : BlessRouting::StrictXY,
+                                              config_.route_table_max_nodes);
+      break;
+    case RouterKind::Buffered:
+      fabric_ = std::make_unique<BufferedFabric>(*topo_, config_.router_latency,
+                                                 config_.link_latency,
+                                                 config_.route_table_max_nodes);
+      break;
+  }
+  fabric_->set_eject_sink([this](NodeId at, const Flit& f) { on_flit_ejected(at, f); });
+
+  mapper_ = make_l2_mapper(config_.l2_map, *topo_, config_.locality_lambda);
+
+  switch (config_.cc) {
+    case CcMode::None:
+      controller_ = std::make_unique<NoController>();
+      break;
+    case CcMode::Central: {
+      auto central = std::make_unique<CentralController>(config_.cc_params);
+      central_ = central.get();
+      controller_ = std::move(central);
+      break;
+    }
+    case CcMode::Static:
+      controller_ = std::make_unique<StaticController>(config_.static_rate);
+      break;
+    case CcMode::Selective:
+      controller_ = std::make_unique<SelectiveStaticController>(config_.selective_rates);
+      break;
+    case CcMode::Distributed:
+      controller_ = std::make_unique<NoController>();  // rates come from the coordinator
+      distributed_.emplace(n, config_.cc_params, config_.dist_params);
+      fabric_->enable_marking();
+      break;
+  }
+
+  nis_.reserve(n);
+  for (NodeId i = 0; i < n; ++i) {
+    nis_.emplace_back([this, i](const Flit& header, Cycle) { on_packet(i, header); });
+    nis_.back().throttler = InjectionThrottler(
+        config_.randomized_throttle_gate ? InjectionThrottler::Gate::Randomized
+                                         : InjectionThrottler::Gate::Deterministic,
+        splitmix_of(config_.seed, static_cast<std::uint64_t>(i)));
+  }
+
+  cores_.resize(ncores);
+  node_class_.assign(static_cast<std::size_t>(ncores), -1);
+  for (NodeId i = 0; i < ncores; ++i) {
+    const std::string& app = workload_.app_names[i];
+    if (app.empty()) continue;
+    // A workload entry is either a catalog application name or
+    // "file:<path>" — a trace in the FileTrace text format.
+    std::unique_ptr<TraceSource> trace;
+    CoreParams core_params = config_.core;
+    if (app.rfind("file:", 0) == 0) {
+      trace = std::make_unique<FileTrace>(FileTrace::load(app.substr(5)));
+    } else {
+      const AppProfile& profile = app_by_name(app);
+      node_class_[static_cast<std::size_t>(i)] = static_cast<int>(profile.cls);
+      trace = std::make_unique<SyntheticTrace>(profile, config_.seed,
+                                               static_cast<std::uint64_t>(i));
+      // The application's dependence-limited MLP caps outstanding misses
+      // below the hardware MSHR count.
+      core_params.max_outstanding_misses =
+          std::min(core_params.max_outstanding_misses, profile.max_mlp);
+    }
+    cores_[i] = std::make_unique<Core>(i, core_params, std::move(trace),
+                                       [this, i](Addr block) { on_miss(i, block); });
+    cores_[i]->prewarm(config_.prewarm_instructions);
+  }
+
+  ni_work_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+  core_work_.assign((static_cast<std::size_t>(ncores) + 63) / 64, 0);
+  core_synced_.assign(static_cast<std::size_t>(ncores), 0);
+  for (NodeId i = 0; i < ncores; ++i) {
+    if (cores_[i]) {
+      core_work_[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
+    }
+  }
+  l2_wheel_.resize(config_.l2_latency + 1);
+  telemetry_.resize(n);
+  staged_rates_.assign(n, 0.0);
+  epoch_ipf_.resize(n);
+  if (config_.watchdog.enabled) {
+    NOCSIM_CHECK_MSG(config_.watchdog.period >= 1, "watchdog period must be >= 1");
+    wd_blocked_over_.assign(static_cast<std::size_t>(n), 0);
+  }
+
+  NOCSIM_CHECK_MSG(config_.shards >= 1, "shards must be >= 1");
+  NOCSIM_CHECK_MSG(!(config_.shard_dims.active() && config_.shards > 1),
+                   "set shards or shard_dims, not both");
+  // Distributed CC pulls a coordinator rate into every NI every cycle and
+  // scans all nodes; it stays on the serial path.
+  if ((config_.shards > 1 || config_.shard_dims.active()) && !distributed_) {
+    // The plan partitions ROUTERS. Grid families map to (width, height*depth)
+    // rows (z layers stack as extra rows); irregular graphs have no grid to
+    // tile, so they shard as contiguous node-id strips of a 1-wide column.
+    if (topo_->kind() == Topology::Kind::Irregular) {
+      NOCSIM_CHECK_MSG(!config_.shard_dims.active(),
+                       "irregular topology supports --shards row strips only");
+      plan_.emplace(1, n, config_.shards);
+    } else if (config_.shard_dims.active()) {
+      plan_.emplace(config_.width, config_.height * config_.depth, config_.shard_dims);
+    } else {
+      plan_.emplace(config_.width, config_.height * config_.depth, config_.shards);
+    }
+    if (plan_->tiles() > 1) {
+      sharded_ = true;
+      fabric_->set_shard_plan(&*plan_);
+      tiles_.resize(static_cast<std::size_t>(plan_->tiles()));
+      l2_cursor_.resize(static_cast<std::size_t>(plan_->tiles()));
+      team_ = std::make_unique<ShardTeam>(plan_->tiles());
+      // Core-bitmap word masks per tile (the plan's masks cover routers).
+      const std::size_t cwords = core_work_.size();
+      const auto tiles = static_cast<std::size_t>(plan_->tiles());
+      core_masks_.assign(tiles, std::vector<std::uint64_t>(cwords, 0));
+      core_word_lo_.assign(tiles, cwords);
+      core_word_hi_.assign(tiles, 0);
+      for (NodeId c = 0; c < ncores; ++c) {
+        const auto t = static_cast<std::size_t>(plan_->tile_of(c / conc_));
+        core_masks_[t][static_cast<std::size_t>(c) >> 6] |= std::uint64_t{1} << (c & 63);
+      }
+      for (std::size_t t = 0; t < tiles; ++t) {
+        for (std::size_t w = 0; w < cwords; ++w) {
+          if (core_masks_[t][w] == 0) continue;
+          if (core_word_lo_[t] > w) core_word_lo_[t] = w;
+          core_word_hi_[t] = w + 1;
+        }
+      }
+    } else {
+      plan_.reset();  // one tile: nothing to split
+    }
+  }
+}
+
+void Simulator::sync_ni(NodeId n, Cycle upto) {
+  NOCSIM_SHARD_CHECK_WRITE(n, "ni bookkeeping (sync_ni)");
+  Ni& ni = nis_[n];
+  if (ni.synced_to >= upto) return;
+  const Cycle k = upto - ni.synced_to;
+  ni.starvation.record_idle(k);
+  ni.starvation_net.record_idle(k);
+  ni.blocked_streak = 0;  // idle cycles are non-blocked by definition
+  if (measuring_) {
+    // The rate is constant across the gap (set_rate sites all sync first).
+    // One add per cycle — k * r would round differently; the per-cycle sum
+    // must stay bit-exact with the eager path. Adding 0.0 is an exact no-op
+    // (the integral is never -0.0 or NaN), so the unthrottled common case
+    // skips the replay loop entirely.
+    const double r = ni.throttler.rate();
+    if (r != 0.0) {
+      for (Cycle c = 0; c < k; ++c) ni.rate_integral += r;
+    }
+  }
+  ni.synced_to = upto;
+}
+
+void Simulator::wake_ni(NodeId n, Cycle upto) {
+  sync_ni(n, upto);
+  const std::size_t w = static_cast<std::size_t>(n) >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (n & 63);
+  if (sharded_) {
+    // Bitmap words straddle tile boundaries; the OR is commutative, so a
+    // relaxed RMW keeps concurrent wakes from neighbouring tiles exact.
+    std::atomic_ref<std::uint64_t>(ni_work_[w]).fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    ni_work_[w] |= bit;
+  }
+}
+
+void Simulator::wake_core(NodeId n) {
+  // n is a CORE id; ownership checks index the router-partitioned plan.
+  NOCSIM_SHARD_CHECK_WRITE(router_of(n), "core wake (wake_core)");
+  const std::size_t w = static_cast<std::size_t>(n) >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (n & 63);
+  if (sharded_) {
+    // Only the owning tile fills (and thus wakes) a core, but the word can
+    // straddle a tile boundary: the commutative OR keeps neighbours exact.
+    std::atomic_ref<std::uint64_t> ref(core_work_[w]);
+    if ((ref.load(std::memory_order_relaxed) & bit) != 0) return;
+    cores_[n]->skip_blocked(now_ - core_synced_[n]);
+    ref.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    if ((core_work_[w] & bit) != 0) return;
+    cores_[n]->skip_blocked(now_ - core_synced_[n]);
+    core_work_[w] |= bit;
+  }
+}
+
+void Simulator::enqueue_packet(FlitRing& q, NodeId src, NodeId dst, PacketKind kind,
+                               Addr addr, int len, PacketSeq seq, NodeId origin) {
+  for (int i = 0; i < len; ++i) {
+    Flit f;
+    f.src = src;
+    f.dst = dst;
+    f.origin = origin;
+    f.kind = kind;
+    f.addr = addr;
+    f.packet = seq;
+    f.flit_idx = static_cast<std::uint16_t>(i);
+    f.packet_len = static_cast<std::uint16_t>(len);
+    f.enqueue_cycle = now_;
+    q.push_back(f);
+  }
+}
+
+void Simulator::on_miss(NodeId n, Addr block) {
+  // n is a CORE id; the network sees its router (identical except cmesh).
+  const NodeId rtr = router_of(n);
+  NOCSIM_SHARD_CHECK_WRITE(rtr, "miss bookkeeping (on_miss)");
+  const NodeId home = mapper_->home(rtr, block);
+  if (home == rtr) {
+    // Local slice: no network traversal, just the L2 service latency. Under
+    // sharding this fires on a tile thread (core phase): buffer the push and
+    // fold it into the wheel in ascending tile order from the serial finish.
+    if (sharded_) {
+      tiles_[static_cast<std::size_t>(plan_->tile_of(rtr))].l2_core.push_back(
+          PendingL2{home, n, block});
+    } else {
+      l2_wheel_[(now_ + config_.l2_latency) % l2_wheel_.size()].push_back(
+          PendingL2{home, n, block});
+    }
+    return;
+  }
+  Ni& ni = nis_[rtr];
+  // on_miss fires from the core step, after this cycle's injection loop: if
+  // the NI was asleep, cycle now_ itself was still an idle (skipped) cycle.
+  wake_ni(rtr, now_ + 1);
+  enqueue_packet(ni.request_q, rtr, home, PacketKind::Request, block, config_.request_flits,
+                 ni.next_seq++, /*origin=*/n);
+  // IPF flit attribution (§4): requests the app injects + responses
+  // generated on its behalf. Attributed at creation time.
+  const auto attributed =
+      static_cast<std::uint64_t>(config_.request_flits + config_.response_flits);
+  ni.epoch_flits += attributed;
+  if (measuring_) ni.measure_flits += attributed;
+}
+
+void Simulator::on_flit_ejected(NodeId at, const Flit& f) {
+  NOCSIM_SHARD_CHECK_WRITE(at, "ejection sink (on_flit_ejected)");
+  nis_[at].reassembly.on_flit(f, now_);
+  if (!measuring_) return;
+  // Latency distributions (per-flit, like the fabric's mean accumulators).
+  const double net = static_cast<double>(now_ - f.inject_cycle);
+  const double total = static_cast<double>(now_ - f.enqueue_cycle);
+  // Under sharding this fires on a tile thread (route phase): accumulate in
+  // the tile's scratch histograms. Histogram counts/min/max are exactly
+  // commutative, so the collect()-time fold is bit-identical to serial adds.
+  LatencyHistograms* all = &lat_all_;
+  std::array<LatencyHistograms, kNumIntensityClasses>* cls = &lat_class_;
+  if (sharded_) {
+    SimTile& st = tiles_[static_cast<std::size_t>(plan_->tile_of(at))];
+    all = &st.lat_all;
+    cls = &st.lat_class;
+  }
+  all->net.add(net);
+  all->total.add(total);
+  // Attribute to the app that owns the flit: a Request belongs to its
+  // source core, a Response to the core it fills — both stamped as the
+  // flit's origin at enqueue (Control flits carry none). Flits of
+  // idle/file-trace cores have no intensity class.
+  const NodeId owner = f.origin;
+  if (owner == kInvalidNode) return;
+  const int c = node_class_[static_cast<std::size_t>(owner)];
+  if (c < 0) return;
+  (*cls)[static_cast<std::size_t>(c)].net.add(net);
+  (*cls)[static_cast<std::size_t>(c)].total.add(total);
+}
+
+void Simulator::on_packet(NodeId at, const Flit& header) {
+  NOCSIM_SHARD_CHECK_WRITE(at, "packet sink (on_packet)");
+  switch (header.kind) {
+    case PacketKind::Request:
+      // Perfect shared L2: always hits; respond after the service latency.
+      // Sharded: the reassembly sink fires on a tile thread during the route
+      // phase — buffer per tile, fold serially in ascending tile order.
+      NOCSIM_DCHECK(header.dst == at);
+      if (sharded_) {
+        tiles_[static_cast<std::size_t>(plan_->tile_of(at))].l2_route.push_back(
+            PendingL2{at, header.origin, header.addr});
+      } else {
+        l2_wheel_[(now_ + config_.l2_latency) % l2_wheel_.size()].push_back(
+            PendingL2{at, header.origin, header.addr});
+      }
+      break;
+    case PacketKind::Response: {
+      // The response ejects at the origin core's router; fill that core.
+      const NodeId core = header.origin;
+      NOCSIM_DCHECK(router_of(core) == at);
+      NOCSIM_CHECK_MSG(cores_[core] != nullptr, "response delivered to an idle core");
+      wake_core(core);
+      cores_[core]->on_fill(header.addr, now_);
+      if (distributed_ && header.congested_bit) distributed_->on_marked_packet(at, now_);
+      break;
+    }
+    case PacketKind::Control:
+      if (at != config_.controller_node) {
+        // Rate-setting packet arrived: adopt the staged rate. Cycles up to
+        // and including now_ ran under the old rate — replay them before
+        // the change (the fabric steps after the injection loop).
+        sync_ni(at, now_ + 1);
+        nis_[at].throttler.set_rate(staged_rates_[at]);
+      }
+      // Report packets reaching the controller carry telemetry the central
+      // algorithm already consumed (oracle-read at the epoch boundary); the
+      // packet exists to model its bandwidth cost.
+      break;
+  }
+}
+
+void Simulator::deliver_l2(Cycle now) {
+  auto& due = l2_wheel_[now % l2_wheel_.size()];
+  for (const PendingL2& p : due) {
+    if (p.home == router_of(p.requester)) {
+      wake_core(p.requester);
+      cores_[p.requester]->on_fill(p.block, now);
+      continue;
+    }
+    Ni& home_ni = nis_[p.home];
+    // deliver_l2 runs before this cycle's injection loop: the woken NI will
+    // be processed for now_ itself, so replay only the cycles before it.
+    wake_ni(p.home, now);
+    enqueue_packet(home_ni.response_q, p.home, router_of(p.requester), PacketKind::Response,
+                   p.block, config_.response_flits, home_ni.next_seq++,
+                   /*origin=*/p.requester);
+  }
+  due.clear();
+}
+
+void Simulator::deliver_l2_shard(Cycle now, int tile) {
+  // Every tile scans the full due list and services only its own home
+  // slices (for local fills home == the requester's router, so one owner
+  // either way). The slot is cleared once, in the serial part of
+  // step_sharded — pushes made this cycle target a different slot
+  // (l2_latency % (l2_latency + 1) != 0), so the stale entries are never
+  // re-read.
+  NOCSIM_PHASE("deliver");
+  const auto& due = l2_wheel_[now % l2_wheel_.size()];
+  for (const PendingL2& p : due) {
+    if (!plan_->owns(tile, p.home)) continue;
+    NOCSIM_SHARD_CHECK_WRITE(p.home, "l2 delivery (deliver_l2_shard)");
+    if (p.home == router_of(p.requester)) {
+      wake_core(p.requester);
+      cores_[p.requester]->on_fill(p.block, now);
+      continue;
+    }
+    Ni& home_ni = nis_[p.home];
+    wake_ni(p.home, now);
+    enqueue_packet(home_ni.response_q, p.home, router_of(p.requester), PacketKind::Response,
+                   p.block, config_.response_flits, home_ni.next_seq++,
+                   /*origin=*/p.requester);
+  }
+}
+
+void Simulator::ni_inject(NodeId n) {
+  NOCSIM_SHARD_CHECK_WRITE(n, "ni injection (ni_inject)");
+  Ni& ni = nis_[n];
+  NOCSIM_DCHECK(ni.synced_to == now_);
+  ni.synced_to = now_ + 1;
+
+  if (distributed_) {
+    const double r = distributed_->rate(n, now_);
+    if (r != ni.throttler.rate()) ni.throttler.set_rate(r);
+  }
+  if (measuring_) ni.rate_integral += ni.throttler.rate();
+
+  const bool has_response = !ni.response_q.empty();
+  const bool has_request = !ni.request_q.empty();
+  if (!has_response && !has_request) {
+    ni.starvation.record(false);
+    ni.starvation_net.record(false);
+    ni.blocked_streak = 0;
+    // Drained: go to sleep. sync_ni replays the idle cycles on wake-up.
+    // Under distributed CC the worklist is unused (full scan every cycle).
+    if (sharded_) {
+      std::atomic_ref<std::uint64_t>(ni_work_[static_cast<std::size_t>(n) >> 6])
+          .fetch_and(~(std::uint64_t{1} << (n & 63)), std::memory_order_relaxed);
+    } else {
+      ni_work_[static_cast<std::size_t>(n) >> 6] &= ~(std::uint64_t{1} << (n & 63));
+    }
+    return;
+  }
+  // Network-admission starvation: wants to inject but the router has no
+  // free slot — congestion proper, independent of the throttling gate. The
+  // port scan is the expensive part of this function; nothing between here
+  // and the injection gate below changes its answer, so ask once.
+  const bool can_inject = fabric_->can_accept(n);
+  ni.starvation_net.record(!can_inject);
+
+  // One local injection port. On the buffered fabric, packets must inject
+  // atomically (the wormhole local port cannot interleave packets); under
+  // FLIT-BLESS every flit routes independently, so the NI alternates at
+  // flit granularity — long data responses then cannot monopolize the port.
+  // Either way the NI alternates fairly across the two queues: strict
+  // response priority would let a busy home slice lock out its own core's
+  // requests forever. The Algorithm 3 gate applies to request packets only;
+  // a throttled request's slot may still carry a response — response
+  // traffic is never throttled (§5).
+  // The Fig. 2(c) static strawman gates all traffic classes; the real
+  // mechanism gates request-packet heads only.
+  const bool gate_all = (config_.cc == CcMode::Static && config_.static_throttles_responses);
+
+  bool injected = false;
+  if (can_inject) {
+    int pick = ni.mid_packet;  // 0 = free choice, 1 = response, 2 = request
+    if (pick == 0) {
+      if (gate_all) {
+        if (!ni.throttler.allow()) {
+          ni.starvation.record(true);  // Algorithm 3: block injection, starved
+          ++ni.blocked_streak;
+          return;
+        }
+        pick = (has_response && (ni.response_turn || !has_request)) ? 1 : 2;
+      } else if (has_response && (ni.response_turn || !has_request)) {
+        pick = 1;
+      } else if (has_request && ni.throttler.allow()) {
+        pick = 2;
+      } else if (has_response) {
+        pick = 1;  // request throttled (or absent); don't waste the port
+      } else {
+        ni.starvation.record(true);  // Algorithm 3: block injection, starved
+        ++ni.blocked_streak;
+        return;
+      }
+    }
+    auto& q = (pick == 1) ? ni.response_q : ni.request_q;
+    NOCSIM_DCHECK(!q.empty());
+    const Flit f = q.front();
+    q.pop_front();
+    fabric_->request_inject(n, f);
+    const bool tail = (f.flit_idx + 1 == f.packet_len);
+    const bool atomic = (config_.router == RouterKind::Buffered);
+    ni.mid_packet = (atomic && !tail) ? pick : 0;
+    ni.response_turn = (pick == 2);
+    ++ni.injected_flits;
+    injected = true;
+  }
+  ni.starvation.record(!injected);
+  if (injected) {
+    ni.blocked_streak = 0;
+  } else {
+    ++ni.blocked_streak;
+  }
+}
+
+void Simulator::epoch_update() {
+  const int n = config_.num_nodes();
+  // The epoch boundary observes every NI (sigma windows) and may change
+  // every rate: bring sleeping NIs up to date first. Runs after the
+  // injection loop, so cycle now_ is part of the replayed gap.
+  for (NodeId i = 0; i < n; ++i) sync_ni(i, now_ + 1);
+  for (NodeId i = 0; i < n; ++i) {
+    Ni& ni = nis_[i];
+    // A router's IPF aggregates every core behind its NI (one core except
+    // on concentrated topologies).
+    std::uint64_t retired = 0;
+    bool any_core = false;
+    for (int k = 0; k < conc_; ++k) {
+      const NodeId c = i * conc_ + k;
+      if (!cores_[c]) continue;
+      any_core = true;
+      retired += cores_[c]->epoch_retired();
+      cores_[c]->reset_epoch();
+    }
+    const double ipf = ni.epoch_flits
+                           ? static_cast<double>(retired) / static_cast<double>(ni.epoch_flits)
+                           : IpfTracker::kMaxIpf;
+    telemetry_[i] = NodeTelemetry{ipf, ni.starvation.windowed_rate()};
+    ni.epoch_flits = 0;
+    if (measuring_ && config_.record_epoch_ipf && any_core) epoch_ipf_[i].push_back(ipf);
+    if (distributed_) distributed_->set_local_ipf(i, ipf);
+  }
+  if (distributed_) return;  // no central decision
+
+  // Network telemetry: hop inflation over this epoch's delivered flits.
+  const FabricStats& fs = fabric_->stats();
+  NetTelemetry net;
+  const std::uint64_t d_hops = fs.flit_hops_delivered - epoch_hops_at_last_;
+  const std::uint64_t d_min = fs.min_hops_total - epoch_min_hops_at_last_;
+  epoch_hops_at_last_ = fs.flit_hops_delivered;
+  epoch_min_hops_at_last_ = fs.min_hops_total;
+  net.hop_inflation = d_min ? static_cast<double>(d_hops) / static_cast<double>(d_min) : 1.0;
+
+  controller_->on_epoch(now_, telemetry_, net, staged_rates_);
+  if (events_ != nullptr) emit_epoch_events(net);
+
+  if (!config_.model_control_traffic) {
+    for (NodeId i = 0; i < n; ++i) nis_[i].throttler.set_rate(staged_rates_[i]);
+    return;
+  }
+  // Model the 2n control packets (§6.6): each node reports to the
+  // controller; the controller sends each node its rate. Rates take effect
+  // when the rate packet is delivered.
+  const NodeId ctrl = config_.controller_node;
+  nis_[ctrl].throttler.set_rate(staged_rates_[ctrl]);
+  for (NodeId i = 0; i < n; ++i) {
+    if (i == ctrl) continue;
+    wake_ni(i, now_ + 1);  // already synced above; (re)arm the worklist bit
+    enqueue_packet(nis_[i].response_q, i, ctrl, PacketKind::Control, 0, 1,
+                   nis_[i].next_seq++, kInvalidNode);
+    enqueue_packet(nis_[ctrl].response_q, ctrl, i, PacketKind::Control, 0, 1,
+                   nis_[ctrl].next_seq++, kInvalidNode);
+  }
+  wake_ni(ctrl, now_ + 1);
+}
+
+void Simulator::emit_epoch_events(const NetTelemetry& net) {
+  // Runs at the end of epoch_update, after the controller decided: every
+  // field below is exactly what Algorithm 1 consumed (telemetry_, the
+  // sigma windows) or produced (staged_rates_, escalation) this epoch.
+  // Emission order is fixed — network events, then per-node events in
+  // ascending node id — and everything here is simulated state, so the
+  // stream is byte-identical at any shard count.
+  const double esc = central_ != nullptr ? central_->escalation() : 1.0;
+  const double mean_ipf = central_ != nullptr ? central_->last_mean_ipf() : 0.0;
+  const bool congested = controller_->last_congested();
+  if (congested != event_congested_) {
+    events_->emit(SimEvent{now_, congested ? SimEventKind::HotspotOn : SimEventKind::HotspotOff,
+                           kInvalidNode, esc, mean_ipf, 0.0, 0.0, net.hop_inflation});
+    event_congested_ = congested;
+  }
+  if (congested) {
+    events_->emit(SimEvent{now_, SimEventKind::CcEpoch, kInvalidNode, esc, mean_ipf, 0.0, 0.0,
+                           net.hop_inflation});
+  }
+  const int n = config_.num_nodes();
+  for (NodeId i = 0; i < n; ++i) {
+    const double prev = event_rates_[static_cast<std::size_t>(i)];
+    const double next = staged_rates_[static_cast<std::size_t>(i)];
+    if (next != prev) {
+      const SimEventKind kind = prev == 0.0 ? SimEventKind::ThrottleOn
+                                : next == 0.0 ? SimEventKind::ThrottleOff
+                                              : SimEventKind::ThrottleAdjust;
+      events_->emit(SimEvent{now_, kind, i, next, telemetry_[static_cast<std::size_t>(i)].ipf,
+                             telemetry_[static_cast<std::size_t>(i)].starvation_rate,
+                             nis_[static_cast<std::size_t>(i)].starvation_net.windowed_rate(),
+                             esc});
+      event_rates_[static_cast<std::size_t>(i)] = next;
+    }
+  }
+  for (NodeId i = 0; i < n; ++i) {
+    const NodeTelemetry& t = telemetry_[static_cast<std::size_t>(i)];
+    const double threshold = config_.cc_params.starve_threshold(t.ipf);
+    const bool starved = t.starvation_rate > threshold;  // Eq. 1, as the controller tests it
+    if (starved != (starve_flag_[static_cast<std::size_t>(i)] != 0)) {
+      events_->emit(SimEvent{now_, starved ? SimEventKind::StarveOn : SimEventKind::StarveOff, i,
+                             event_rates_[static_cast<std::size_t>(i)], t.ipf, t.starvation_rate,
+                             nis_[static_cast<std::size_t>(i)].starvation_net.windowed_rate(),
+                             threshold});
+      starve_flag_[static_cast<std::size_t>(i)] = starved ? 1 : 0;
+    }
+  }
+}
+
+void Simulator::watchdog_check() {
+  const SimConfig::WatchdogConfig& wd = config_.watchdog;
+  // Livelock: age of the oldest in-flight flit. Edge-triggered — one event
+  // per episode, cleared when the flit finally drains.
+  Cycle age = 0;
+  if (fabric_->in_flight() > 0) {
+    const std::uint32_t oldest = fabric_->oldest_inflight_inject_cycle();
+    if (oldest != Fabric::kNoInflight) age = now_ - static_cast<Cycle>(oldest);
+  }
+  if (age > wd_max_age_) wd_max_age_ = age;
+  const bool age_over = age >= wd.max_flit_age;
+  if (age_over && !wd_age_over_) {
+    if (events_ != nullptr) {
+      events_->emit(SimEvent{now_, SimEventKind::WatchdogFlitAge, kInvalidNode, 0.0, 0.0, 0.0,
+                             0.0, static_cast<double>(age)});
+    }
+    NOCSIM_CHECK_MSG(!wd.abort,
+                     "watchdog: in-flight flit age exceeded max_flit_age (livelock?)");
+  }
+  wd_age_over_ = age_over;
+
+  // Starvation: per-NI consecutive-blocked-injection streaks, maintained in
+  // ni_inject on the owning tile and read here serially.
+  const int n = config_.num_nodes();
+  for (NodeId i = 0; i < n; ++i) {
+    const Cycle streak = nis_[static_cast<std::size_t>(i)].blocked_streak;
+    const bool over = streak >= wd.max_blocked_streak;
+    if (over && wd_blocked_over_[static_cast<std::size_t>(i)] == 0) {
+      if (events_ != nullptr) {
+        events_->emit(SimEvent{now_, SimEventKind::WatchdogBlocked, i,
+                               nis_[static_cast<std::size_t>(i)].throttler.rate(),
+                               telemetry_[static_cast<std::size_t>(i)].ipf, 0.0, 0.0,
+                               static_cast<double>(streak)});
+      }
+      NOCSIM_CHECK_MSG(!wd.abort,
+                       "watchdog: blocked-injection streak exceeded max_blocked_streak");
+    }
+    wd_blocked_over_[static_cast<std::size_t>(i)] = over ? 1 : 0;
+  }
+}
+
+void Simulator::fold_l2(std::vector<PendingL2>& slot, bool by_home) {
+  const std::size_t tiles = tiles_.size();
+  for (std::size_t t = 0; t < tiles; ++t) l2_cursor_[t] = 0;
+  for (;;) {
+    std::size_t best = tiles;
+    NodeId best_key = 0;
+    for (std::size_t t = 0; t < tiles; ++t) {
+      const auto& buf = by_home ? tiles_[t].l2_route : tiles_[t].l2_core;
+      if (l2_cursor_[t] >= buf.size()) continue;
+      const PendingL2& p = buf[l2_cursor_[t]];
+      const NodeId key = by_home ? p.home : p.requester;
+      if (best == tiles || key < best_key) {
+        best = t;
+        best_key = key;
+      }
+    }
+    if (best == tiles) break;
+    const auto& buf = by_home ? tiles_[best].l2_route : tiles_[best].l2_core;
+    slot.push_back(buf[l2_cursor_[best]]);
+    ++l2_cursor_[best];
+  }
+  for (SimTile& t : tiles_) (by_home ? t.l2_route : t.l2_core).clear();
+}
+
+void Simulator::inject_tile(int tile) {
+  // Tile-masked walk of the injection worklist, same snapshot-then-scan
+  // shape as the serial loop. The load sees this thread's own wakes from
+  // deliver_l2_shard; other tiles only touch other bits of shared words.
+  NOCSIM_PHASE("deliver");
+  const std::size_t whi = plan_->word_hi(tile);
+  for (std::size_t w = plan_->word_lo(tile); w < whi; ++w) {
+    std::uint64_t bits =
+        std::atomic_ref<std::uint64_t>(ni_work_[w]).load(std::memory_order_relaxed) &
+        plan_->word_mask(tile, w);
+    while (bits != 0) {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      ni_inject(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
+    }
+  }
+}
+
+void Simulator::step_sharded() {
+  // The same cycle as step(), with every node-indexed phase tile-parallel
+  // and a barrier between phases. Order-sensitive side effects (Welford
+  // adds at ejection, L2 wheel push order) were buffered per tile by the
+  // phases and are folded here in ascending tile order — identical to the
+  // serial ascending-node order because tiles are contiguous row strips.
+  {
+    ProfScope ps(prof_, phase_.begin, 0);
+    fabric_->shard_begin(now_);
+  }
+  // begin_phase tells the profiler which phase's barrier the team is about to
+  // spin on, so worker wait time lands in the right (phase, tile) slot. The
+  // write is serial, published by the team's epoch release.
+  if (prof_ != nullptr) prof_->begin_phase(phase_.deliver);
+  team_->run([this](int t) {
+    NOCSIM_PHASE("deliver", &*plan_, t);
+    const std::uint64_t pt0 = prof_begin(prof_);
+    fabric_->shard_deliver(now_, t);
+    deliver_l2_shard(now_, t);
+    inject_tile(t);
+    prof_end(prof_, phase_.deliver, t, pt0);
+  });
+  if (prof_ != nullptr) prof_->begin_phase(phase_.route);
+  team_->run([this](int t) {
+    NOCSIM_PHASE("route", &*plan_, t);
+    const std::uint64_t pt0 = prof_begin(prof_);
+    fabric_->shard_route(now_, t);
+    prof_end(prof_, phase_.route, t, pt0);
+  });
+  if (prof_ != nullptr) prof_->begin_phase(phase_.exchange);
+  team_->run([this](int t) {
+    NOCSIM_PHASE("exchange", &*plan_, t);
+    const std::uint64_t pt0 = prof_begin(prof_);
+    fabric_->shard_exchange(now_, t);
+    prof_end(prof_, phase_.exchange, t, pt0);
+  });
+  if (prof_ != nullptr) prof_->begin_phase(phase_.core);
+  team_->run([this](int t) {
+    NOCSIM_PHASE("core", &*plan_, t);
+    const std::uint64_t pt0 = prof_begin(prof_);
+    // Tile-masked walk of the runnable-core worklist (see the serial loop).
+    // The masks come from core_masks_, not the plan: the plan partitions
+    // routers and the core id space is conc_ times larger. Sleep decisions
+    // clear only this tile's bits; boundary words are shared with
+    // neighbours, so the clear is an atomic RMW.
+    const std::size_t whi = core_word_hi_[static_cast<std::size_t>(t)];
+    for (std::size_t w = core_word_lo_[static_cast<std::size_t>(t)]; w < whi; ++w) {
+      std::uint64_t bits =
+          std::atomic_ref<std::uint64_t>(core_work_[w]).load(std::memory_order_relaxed) &
+          core_masks_[static_cast<std::size_t>(t)][w];
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        const auto i = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
+        Core& core = *cores_[i];
+        core.step(now_);
+        if (core.blocked()) {
+          std::atomic_ref<std::uint64_t>(core_work_[w])
+              .fetch_and(~(std::uint64_t{1} << (i & 63)), std::memory_order_relaxed);
+          core_synced_[static_cast<std::size_t>(i)] = now_ + 1;
+        }
+      }
+    }
+    prof_end(prof_, phase_.core, t, pt0);
+  });
+  {
+    ProfScope ps(prof_, phase_.epilogue, 0);
+    fabric_->shard_finish(now_);
+
+    // Fold the buffered L2 pushes in serial program order: the route phase's
+    // ejected requests first (merged by home = ejection node), then the core
+    // phase's local-slice hits (merged by requester); clear the consumed due
+    // slot.
+    l2_wheel_[now_ % l2_wheel_.size()].clear();
+    auto& slot = l2_wheel_[(now_ + config_.l2_latency) % l2_wheel_.size()];
+    fold_l2(slot, /*by_home=*/true);
+    fold_l2(slot, /*by_home=*/false);
+
+    if ((now_ + 1) % config_.cc_params.epoch == 0) epoch_update();
+    if (config_.watchdog.enabled && (now_ + 1) % config_.watchdog.period == 0) watchdog_check();
+    if (hub_ != nullptr && (now_ + 1) % hub_period_ == 0) {
+      for (NodeId i = 0; i < config_.num_nodes(); ++i) sync_ni(i, now_ + 1);
+      hub_->sample(now_);
+    }
+  }
+  if (prof_ != nullptr && (now_ + 1) % config_.cc_params.epoch == 0) prof_->tick(now_);
+  ++now_;
+}
+
+void Simulator::step() {
+  if (sharded_) {
+    step_sharded();
+    return;
+  }
+  {
+    ProfScope ps(prof_, phase_.begin, 0);
+    fabric_->begin_cycle(now_);
+    deliver_l2(now_);
+  }
+  const int n = config_.num_nodes();
+  {
+    ProfScope ps(prof_, phase_.inject, 0);
+    if (distributed_) {
+      // Per-cycle rate updates: every NI-cycle is observable, no skipping.
+      for (NodeId i = 0; i < n; ++i) ni_inject(i);
+    } else {
+      // Only NIs with queued flits; sleeping NIs are replayed on wake-up.
+      for (std::size_t w = 0; w < ni_work_.size(); ++w) {
+        std::uint64_t bits = ni_work_[w];
+        while (bits != 0) {
+          const int b = std::countr_zero(bits);
+          bits &= bits - 1;
+          ni_inject(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)));
+        }
+      }
+    }
+  }
+  {
+    ProfScope ps(prof_, phase_.route, 0);
+    fabric_->step(now_);
+  }
+  {
+    ProfScope ps(prof_, phase_.core, 0);
+    // Only runnable cores; a core that ends the cycle blocked on the network
+    // sleeps until a fill wakes it (wake_core replays the skipped cycles).
+    for (std::size_t w = 0; w < core_work_.size(); ++w) {
+      std::uint64_t bits = core_work_[w];
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        const auto i = static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
+        Core& core = *cores_[i];
+        core.step(now_);
+        if (core.blocked()) {
+          core_work_[w] &= ~(std::uint64_t{1} << (i & 63));
+          core_synced_[static_cast<std::size_t>(i)] = now_ + 1;
+        }
+      }
+    }
+  }
+  {
+    ProfScope ps(prof_, phase_.epilogue, 0);
+    if ((now_ + 1) % config_.cc_params.epoch == 0) epoch_update();
+    if (config_.watchdog.enabled && (now_ + 1) % config_.watchdog.period == 0) watchdog_check();
+    // Sample after epoch_update so an epoch-cadence row carries the values the
+    // controller consumed (sigma, IPF) and produced (rates, congested flag)
+    // *this* cycle. Null hub = one pointer test per cycle.
+    if (hub_ != nullptr && (now_ + 1) % hub_period_ == 0) {
+      // Gauges read sigma windows and counters of every NI directly.
+      for (NodeId i = 0; i < n; ++i) sync_ni(i, now_ + 1);
+      hub_->sample(now_);
+    }
+    if (distributed_ && (now_ + 1) % config_.dist_params.mark_update_period == 0) {
+      for (NodeId i = 0; i < n; ++i) {
+        fabric_->set_marks_flits(i,
+                                 distributed_->should_mark(nis_[i].starvation.windowed_rate()));
+      }
+    }
+  }
+  if (prof_ != nullptr && (now_ + 1) % config_.cc_params.epoch == 0) prof_->tick(now_);
+  ++now_;
+}
+
+void Simulator::run_cycles(Cycle cycles) {
+  for (Cycle c = 0; c < cycles; ++c) step();
+}
+
+void Simulator::begin_measurement() {
+  // Flush lazy NI bookkeeping before the lifetime counters reset; skipped
+  // segments must never straddle the measuring_ flip (sync_ni applies the
+  // current flag to a whole gap).
+  for (NodeId i = 0; i < config_.num_nodes(); ++i) sync_ni(i, now_);
+  measuring_ = true;
+  measure_start_ = now_;
+  fabric_->reset_stats();
+  epoch_hops_at_last_ = 0;  // counters restarted with the stats
+  epoch_min_hops_at_last_ = 0;
+  for (NodeId i = 0; i < config_.num_cores(); ++i) {
+    if (cores_[i]) {
+      // A sleeping core's skipped window-full cycles are still uncredited;
+      // flush them so the reset wipes exactly what eager stepping had.
+      if ((core_work_[static_cast<std::size_t>(i) >> 6] &
+           (std::uint64_t{1} << (i & 63))) == 0) {
+        cores_[i]->skip_blocked(now_ - core_synced_[static_cast<std::size_t>(i)]);
+        core_synced_[static_cast<std::size_t>(i)] = now_;
+      }
+      cores_[i]->reset_stats();
+    }
+  }
+  for (NodeId i = 0; i < config_.num_nodes(); ++i) {
+    nis_[i].starvation.reset_lifetime();
+    nis_[i].starvation_net.reset_lifetime();
+    nis_[i].measure_flits = 0;
+    nis_[i].rate_integral = 0.0;
+  }
+  epochs_at_measure_start_ = controller_->epochs_total();
+  congested_epochs_at_measure_start_ = controller_->epochs_congested();
+  lat_all_ = LatencyHistograms{};
+  lat_class_.fill(LatencyHistograms{});
+  for (SimTile& t : tiles_) {
+    t.lat_all = LatencyHistograms{};
+    t.lat_class.fill(LatencyHistograms{});
+  }
+}
+
+SimResult Simulator::run() {
+  run_cycles(config_.warmup_cycles);
+  begin_measurement();
+  run_cycles(config_.measure_cycles);
+  return collect(config_.measure_cycles);
+}
+
+SimResult Simulator::collect(Cycle measured_cycles) {
+  // Flush the tail partial-epoch sample so the profile covers every cycle.
+  if (prof_ != nullptr) prof_->tick(now_);
+  for (NodeId i = 0; i < config_.num_nodes(); ++i) sync_ni(i, now_);
+  for (NodeId i = 0; i < config_.num_cores(); ++i) {
+    // Credit sleeping cores' skipped cycles so CoreStats are exact.
+    if (cores_[i] && (core_work_[static_cast<std::size_t>(i) >> 6] &
+                      (std::uint64_t{1} << (i & 63))) == 0) {
+      cores_[i]->skip_blocked(now_ - core_synced_[static_cast<std::size_t>(i)]);
+      core_synced_[static_cast<std::size_t>(i)] = now_;
+    }
+  }
+  SimResult result;
+  result.cycles = measured_cycles;
+  result.fabric = fabric_->stats();
+  result.avg_net_latency = result.fabric.net_latency.mean();
+  result.avg_total_latency = result.fabric.total_latency.mean();
+  result.utilization = result.fabric.utilization(fabric_->num_links());
+  result.avg_hops = result.fabric.hops_per_flit.mean();
+  result.avg_deflections = result.fabric.deflections_per_flit.mean();
+  result.power = compute_power(result.fabric, config_.router == RouterKind::Buffered,
+                               config_.num_nodes());
+
+  const auto cycles_d = static_cast<double>(measured_cycles);
+  double starv_sum = 0.0;
+  double starv_net_sum = 0.0;
+  int active = 0;
+  // One NodeResult per CORE; NI-derived fields come from the core's router
+  // (shared across a concentrated router's cores).
+  for (NodeId i = 0; i < config_.num_cores(); ++i) {
+    NodeResult nr;
+    nr.app = workload_.app_names[i];
+    const Ni& ni = nis_[router_of(i)];
+    if (cores_[i]) {
+      const CoreStats& cs = cores_[i]->stats();
+      nr.retired = cs.retired;
+      nr.ipc = static_cast<double>(cs.retired) / cycles_d;
+      nr.l1_miss_rate = cores_[i]->l1_stats().miss_rate();
+      ++active;
+      starv_sum += ni.starvation.lifetime_rate();
+      starv_net_sum += ni.starvation_net.lifetime_rate();
+    }
+    nr.flits = ni.measure_flits;
+    nr.ipf = ni.measure_flits ? static_cast<double>(nr.retired) /
+                                    static_cast<double>(ni.measure_flits)
+                              : IpfTracker::kMaxIpf;
+    nr.starvation = ni.starvation.lifetime_rate();
+    nr.starvation_network = ni.starvation_net.lifetime_rate();
+    nr.mean_throttle_rate = ni.rate_integral / cycles_d;
+    nr.epoch_ipf = epoch_ipf_[router_of(i)];
+    result.nodes.push_back(std::move(nr));
+  }
+  result.avg_starvation = active ? starv_sum / active : 0.0;
+  result.avg_starvation_network = active ? starv_net_sum / active : 0.0;
+
+  const std::uint64_t epochs = controller_->epochs_total() - epochs_at_measure_start_;
+  const std::uint64_t congested =
+      controller_->epochs_congested() - congested_epochs_at_measure_start_;
+  result.congested_epoch_fraction =
+      epochs ? static_cast<double>(congested) / static_cast<double>(epochs) : 0.0;
+  if (sharded_) {
+    // Fold the per-tile histograms (bin counts and min/max are exactly
+    // commutative, so the fold order is immaterial).
+    for (const SimTile& t : tiles_) {
+      lat_all_.net.merge(t.lat_all.net);
+      lat_all_.total.merge(t.lat_all.total);
+      for (std::size_t c = 0; c < lat_class_.size(); ++c) {
+        lat_class_[c].net.merge(t.lat_class[c].net);
+        lat_class_[c].total.merge(t.lat_class[c].total);
+      }
+    }
+  }
+  result.latency = lat_all_;
+  result.latency_by_class = lat_class_;
+  return result;
+}
+
+void Simulator::attach_telemetry(TelemetryHub* hub) {
+  NOCSIM_CHECK(hub != nullptr);
+  NOCSIM_CHECK_MSG(hub_ == nullptr, "telemetry hub already attached");
+  hub_ = hub;
+  hub_->default_sample_period(config_.cc_params.epoch);
+  hub_period_ = hub_->sample_period();
+  NOCSIM_CHECK(hub_period_ > 0);
+
+  // Controller-epoch columns. On the default cadence (the epoch) a row is
+  // written in the same cycle epoch_update() ran, so sigma/ipf below are the
+  // inputs Algorithm 1 consumed and congested/throttle_rate its outputs.
+  hub_->add_gauge("cc.congested",
+                  [this] { return controller_->last_congested() ? 1.0 : 0.0; });
+  hub_->add_text("cc.throttled_nodes", [this] {
+    std::string out;
+    for (std::size_t i = 0; i < staged_rates_.size(); ++i) {
+      if (staged_rates_[i] <= 0.0) continue;
+      if (!out.empty()) out += ';';
+      out += std::to_string(i);
+    }
+    return out;
+  });
+
+  // Fabric columns.
+  const double links = static_cast<double>(fabric_->num_links());
+  const double period = static_cast<double>(hub_period_);
+  hub_->add_gauge("fabric.link_utilization",
+                  [this, links, period, last = std::uint64_t{0}]() mutable {
+                    // Mean fraction of links busy over the interval. The hop
+                    // counter restarts from zero at the measurement boundary
+                    // (reset_stats), so guard the delta instead of
+                    // registering it as a monotone counter.
+                    const std::uint64_t cur = fabric_->stats().flit_hops;
+                    const std::uint64_t delta = cur >= last ? cur - last : cur;
+                    last = cur;
+                    return static_cast<double>(delta) / (links * period);
+                  });
+  hub_->add_gauge("fabric.in_flight",
+                  [this] { return static_cast<double>(fabric_->in_flight()); });
+  if (config_.telemetry_halo) {
+    // Opt-in: these columns would break the serial-vs-sharded CSV
+    // byte-identity of one config (structurally zero on the serial path).
+    hub_->add_counter("fabric.halo_writes", [this] { return fabric_->stats().halo_writes; });
+    hub_->add_counter("fabric.halo_bytes", [this] { return fabric_->stats().halo_bytes; });
+  }
+
+  // Per-node columns.
+  for (NodeId i = 0; i < config_.num_nodes(); ++i) {
+    // (Built up in steps: GCC 12's -Wrestrict misfires on chained
+    // string literal + to_string concatenation at -O3.)
+    std::string p = "n";
+    p += std::to_string(i);
+    p += '.';
+    hub_->add_gauge(p + "sigma", [this, i] { return telemetry_[i].starvation_rate; });
+    hub_->add_gauge(p + "sigma_net",
+                    [this, i] { return nis_[i].starvation_net.windowed_rate(); });
+    hub_->add_gauge(p + "ipf", [this, i] { return telemetry_[i].ipf; });
+    hub_->add_gauge(p + "throttle_rate", [this, i] { return nis_[i].throttler.rate(); });
+    hub_->add_counter(p + "injections", [this, i] { return nis_[i].injected_flits; });
+    hub_->add_counter(p + "deflections",
+                      [this, i] { return fabric_->node_deflections(i); });
+    hub_->add_counter(p + "blocked",
+                      [this, i] { return nis_[i].throttler.blocked_attempts(); });
+    // Retirement at router i sums every core behind its NI (one core except
+    // on concentrated topologies) so the column set is per router either way.
+    bool any_core = false;
+    for (int k = 0; k < conc_; ++k) any_core |= cores_[i * conc_ + k] != nullptr;
+    if (any_core) {
+      hub_->add_counter(p + "retired", [this, i] {
+        std::uint64_t sum = 0;
+        for (int k = 0; k < conc_; ++k) {
+          const NodeId c = i * conc_ + k;
+          if (cores_[c]) sum += cores_[c]->lifetime_retired();
+        }
+        return sum;
+      });
+    }
+  }
+}
+
+void Simulator::attach_profiler(PhaseProfiler* prof) {
+  NOCSIM_CHECK(prof != nullptr);
+  NOCSIM_CHECK_MSG(prof_ == nullptr, "profiler already attached");
+  // Registration order fixes the dense phase ids (and the track order in the
+  // merged Chrome trace). Serial runs use begin/inject/route/core/epilogue;
+  // sharded runs use begin/deliver/route/exchange/core/epilogue — deliver
+  // subsumes the serial inject phase (fabric delivery + L2 + NI injection run
+  // in one tile pass).
+  phase_.begin = prof->register_phase("begin");
+  phase_.deliver = prof->register_phase("deliver");
+  phase_.inject = prof->register_phase("inject");
+  phase_.route = prof->register_phase("route");
+  phase_.exchange = prof->register_phase("exchange");
+  phase_.core = prof->register_phase("core");
+  phase_.epilogue = prof->register_phase("epilogue");
+  prof->set_tiles(sharded_ ? plan_->tiles() : 1);
+  prof->enable();
+  prof_ = prof;
+  // Route the ShardTeam's barrier-spin measurements into the profiler; the
+  // probe is picked up by workers with an acquire load, so mid-run attachment
+  // is race-free (at worst the very first barrier goes unmeasured).
+  if (team_) team_->set_probe(prof->team_probe());
+}
+
+void Simulator::attach_events(EventLog* log) {
+  NOCSIM_CHECK(log != nullptr);
+  NOCSIM_CHECK_MSG(events_ == nullptr, "event log already attached");
+  events_ = log;
+  const auto n = static_cast<std::size_t>(config_.num_nodes());
+  event_rates_.assign(n, 0.0);
+  starve_flag_.assign(n, 0);
+}
+
+}  // namespace nocsim
